@@ -362,13 +362,14 @@ class GPUConfig:
     #: phase profiling); everything defaults to off — see
     #: docs/observability.md.
     obs: ObsConfig = field(default_factory=ObsConfig)
-    #: Simulator core: ``"event"`` (default) skips provably quiet cycles
-    #: via per-component next-event hooks; ``"cycle"`` is the reference
-    #: cycle-by-cycle loop the event core is differentially tested
-    #: against (see docs/architecture.md and tests/sim/
+    #: Simulator core: both values run the same main loop.  ``"event"``
+    #: (default) batches two-level ALU issue runs and the stalls between
+    #: them into issue spans (repro.sim.fastcore); ``"cycle"`` steps
+    #: every SM every cycle, the reference the spans are differentially
+    #: tested against (see docs/architecture.md and tests/sim/
     #: test_differential_engines.py).  Both produce bit-identical
-    #: results; ``deep_checks`` and ``obs.profile`` force the reference
-    #: loop regardless of this knob.
+    #: results; ``deep_checks`` and ``obs.profile`` turn spans off
+    #: regardless of this knob.
     engine: str = "event"
     #: Concurrent-kernel execution knobs; inert for single-kernel runs
     #: but always part of the cache fingerprint (schema v4).
@@ -442,7 +443,7 @@ class GPUConfig:
 
     def with_engine(self, engine: str) -> "GPUConfig":
         """Copy of this config with the simulator core replaced
-        (``"cycle"`` reference loop or ``"event"`` fast core)."""
+        (``"cycle"`` reference SM step or ``"event"`` issue spans)."""
         return replace(self, engine=engine)
 
     def with_multi(self, **overrides) -> "GPUConfig":

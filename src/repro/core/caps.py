@@ -80,14 +80,6 @@ class CtaAwarePrefetcher(Prefetcher):
     def on_cta_finish(self, cta_slot, cta_id) -> None:
         self._ctas.pop(cta_slot, None)
 
-    def next_event_cycle(self, now: int) -> int:
-        """CAPS is purely event-driven — every PerCTA/DIST update and
-        every prefetch generation happens inside :meth:`on_cta_launch`,
-        :meth:`on_load_issue` or :meth:`on_l1_miss`, all of which fire on
-        real SM events.  It therefore never needs a spontaneous wakeup
-        and the event engine may freely skip cycles past it."""
-        return 1 << 62
-
     # ------------------------------------------------------------------ main
     def on_load_issue(self, warp, site, addresses, line_addrs, iteration, now):
         self.loads_observed += 1

@@ -133,24 +133,16 @@ class InvariantChecker:
         pstats = self._merged_pstats(gpu)
         accounted = (pstats.useful + pstats.late_merge
                      + pstats.early_evicted + pstats.unused_at_end)
-        # An in-flight prefetch a demand has merged into is not yet
-        # classifiable (its outcome depends on the response that a
-        # truncated run never saw, or that the injector dropped);
-        # finalize() deliberately leaves those out of unused_at_end.
-        awaited = sum(
-            1 for sm in gpu.sms
-            for meta in sm._inflight_prefetch.values() if meta.waiters
-        )
-        if pstats.issued != accounted + awaited:
+        if pstats.issued != accounted:
             _violate(
                 "prefetch_outcome_conservation",
                 "issued prefetches != useful + late_merge + early_evicted "
-                "+ unused_at_end + awaited-in-flight",
+                "+ unused_at_end",
                 {"issued": pstats.issued, "useful": pstats.useful,
                  "late_merge": pstats.late_merge,
                  "early_evicted": pstats.early_evicted,
                  "unused_at_end": pstats.unused_at_end,
-                 "awaited_inflight": awaited, "completed": completed},
+                 "completed": completed},
             )
 
         if getattr(gpu, "app", None) is not None:

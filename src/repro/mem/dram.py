@@ -51,10 +51,6 @@ class DramChannel:
         self.queue_occupancy_sum = 0
         self.cycles_observed = 0
         self.service_wait_sum = 0
-        # Event-engine bookkeeping: cycle up to which the per-cycle
-        # utilization counters above are accrued (the cycle engine calls
-        # :meth:`cycle` every cycle and never reads this).
-        self._accounted_to = 0
 
     def __len__(self) -> int:
         return len(self.queue)
@@ -181,32 +177,6 @@ class DramChannel:
             self.reads += 1
         self._seq += 1
         heapq.heappush(self._completions, (done, self._seq, req))
-
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest cycle >= ``now`` at which :meth:`cycle` does real
-        work — the DRAM half of the event engine's next-event contract.
-
-        With a queued read or write the channel issues every cycle, so
-        the answer is ``now``.  With empty queues the only future work is
-        popping the completion heap; idle cycles until then touch only
-        the per-cycle utilization counters, which the event engine
-        batch-accrues via :meth:`account_idle_span`."""
-        if self.queue or self.write_queue:
-            return now
-        if self._completions:
-            head = self._completions[0][0]
-            return head if head > now else now
-        return 1 << 62
-
-    def account_idle_span(self, cycles: int) -> None:
-        """Batch-accrue ``cycles`` quiet cycles the event engine skipped.
-
-        Matches what :meth:`cycle` would have recorded per skipped
-        cycle: both queues empty, so occupancy adds zero and the channel
-        counts busy only while completions are still in flight."""
-        self.cycles_observed += cycles
-        if self._completions:
-            self.busy_cycles += cycles
 
     @property
     def mean_queue_depth(self) -> float:

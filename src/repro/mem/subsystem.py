@@ -49,16 +49,6 @@ class _L2Partition:
         self.in_queue.append(req)
         return True
 
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest cycle >= ``now`` at which this partition does work.
-
-        A partition acts only on its input queue (one head per cycle:
-        lookup, stall accounting, or a channel push); with an empty
-        queue it is pure combinational logic and the event engine may
-        skip it.  MSHR releases are driven by the DRAM channel, whose
-        own hook covers them."""
-        return now if self.in_queue else 1 << 62
-
 
 class MemorySubsystem:
     """Everything behind the SMs' L1 caches."""
@@ -98,10 +88,6 @@ class MemorySubsystem:
         )
         self._l2_wait: List = []  # heap of (ready_cycle, seq, req) for L2 hits
         self._seq = 0
-        # Event-engine bookkeeping (the cycle engine never reads these):
-        # first cycle at which cycle() must actually run; per-channel
-        # utilization accrual lives on each DramChannel._accounted_to.
-        self._next_event = 0
         self._complete_now = 0
         # stats
         self.core_requests = 0          # demand + prefetch + store entering icnt
@@ -125,9 +111,6 @@ class MemorySubsystem:
         if not self.request_pipe.can_accept():
             return False
         self.request_pipe.push(req, now)
-        ripe = now + self.request_pipe.latency
-        if ripe < self._next_event:
-            self._next_event = ripe
         self.core_requests += 1
         if req.access is Access.DEMAND:
             self.core_demand_requests += 1
@@ -161,14 +144,23 @@ class MemorySubsystem:
         for ch in self.channels:
             ch.cycle(now, self._dram_complete_now)
         # 2. L2 hit completions that have waited out the L2 latency.
-        self._drain_l2_wait(now)
+        # (Steps 2-5 skip the call when there is nothing ripe: most
+        # cycles move no request, and the calls dominate the idle cost.)
+        w = self._l2_wait
+        if w and w[0][0] <= now:
+            self._drain_l2_wait(now)
         # 3. L2 partitions process their input queues.
         for part in self.partitions:
-            self._l2_cycle(part, now)
+            if part.in_queue:
+                self._l2_cycle(part, now)
         # 4. Move requests from the icnt into partition input queues.
-        self.request_pipe.drain(now, self._deliver_to_partition)
+        q = self.request_pipe._q
+        if q and q[0][0] <= now:
+            self.request_pipe.drain(now, self._deliver_to_partition)
         # 5. Deliver ripe responses to SMs.
-        self.response_pipe.drain(now, self._deliver_response)
+        q = self.response_pipe._q
+        if q and q[0][0] <= now:
+            self.response_pipe.drain(now, self._deliver_response)
 
     def _drain_l2_wait(self, now: int) -> None:
         """Move ripe entries off the L2 wait heap onto the return pipe.
@@ -221,8 +213,7 @@ class MemorySubsystem:
             )
 
     def _l2_cycle(self, part: _L2Partition, now: int) -> None:
-        if not part.in_queue:
-            return
+        """Serve the head of a non-empty partition input queue."""
         req = part.in_queue[0]
         if req.is_store:
             # Write-through, no-allocate: needs a write-buffer slot.
@@ -253,120 +244,20 @@ class MemorySubsystem:
         part.mshr.allocate(req)
         part.channel.push(req)
 
-    # ------------------------------------------------------------ event engine
-    def cycle_event(self, now: int) -> None:
-        """Event-engine entry: run one real cycle, skipping components
-        with provably nothing to do, then recompute the next event.
+    # perfbench/tracer.py wraps this name (``cls.__dict__["cycle_event"]``)
+    # to trace the memory layer; keep it until that caller drops it.
+    cycle_event = cycle
 
-        Equivalent to calling :meth:`cycle` for every cycle in
-        ``(last real cycle, now]``: the skipped cycles and skipped
-        components provably perform no state change beyond the DRAM
-        utilization counters, which accrue lazily per channel
-        (``DramChannel._accounted_to`` + :meth:`account_idle_span`) —
-        an idle channel's reference ``cycle`` only bumps those."""
-        self._complete_now = now
-        nxt = 1 << 62
-        for ch in self.channels:
-            comp = ch._completions
-            if ch.queue or ch.write_queue or (comp and comp[0][0] <= now):
-                gap = now - ch._accounted_to
-                if gap > 0:
-                    ch.account_idle_span(gap)
-                ch.cycle(now, self._dram_complete_now)
-                ch._accounted_to = now + 1
-        w = self._l2_wait
-        if w and w[0][0] <= now:
-            self._drain_l2_wait(now)
-        busy = False
-        for part in self.partitions:
-            if part.in_queue:
-                self._l2_cycle(part, now)
-                if part.in_queue:
-                    busy = True
-        q = self.request_pipe._q
-        if q and q[0][0] <= now:
-            self.request_pipe.drain(now, self._deliver_to_partition)
-        q = self.response_pipe._q
-        if q and q[0][0] <= now:
-            self.response_pipe.drain(now, self._deliver_response)
-        # Inline next_event_cycle(now + 1), reusing the partition
-        # occupancy already observed above.
-        if busy or self.request_pipe._q and self.request_pipe._q[0][0] <= now:
-            self._next_event = now + 1
-            return
-        for part in self.partitions:
-            if part.in_queue:
-                self._next_event = now + 1
-                return
-        for ch in self.channels:
-            t = ch.next_event_cycle(now + 1)
-            if t < nxt:
-                nxt = t
-        w = self._l2_wait
-        if w and w[0][0] < nxt:
-            nxt = w[0][0]
-        q = self.request_pipe._q
-        if q and q[0][0] < nxt:
-            nxt = q[0][0]
-        q = self.response_pipe._q
-        if q and q[0][0] < nxt:
-            nxt = q[0][0]
-        self._next_event = nxt if nxt > now else now + 1
-
-    def sync_accounting(self, now: int) -> None:
-        """Bring per-cycle DRAM counters up to date through ``now - 1``.
-
-        Called before any observer that may read utilization counters
-        (monitor samples, window flushes, hang snapshots, run end)."""
-        for ch in self.channels:
-            gap = now - ch._accounted_to
-            if gap > 0:
-                ch.account_idle_span(gap)
-                ch._accounted_to = now
-
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest cycle >= ``now`` at which :meth:`cycle` changes any
-        state other than batch-accruable idle counters.
-
-        The subsystem half of the next-event contract: the minimum over
-        partition input queues, DRAM channel queues/completions, the L2
-        wait heap, and both interconnect pipes' head ready times.
-        :meth:`submit` moves the cached ``_next_event`` earlier when an
-        SM injects a new request mid-span."""
-        nxt = 1 << 62
-        for part in self.partitions:
-            if part.in_queue:
-                return now
-        for ch in self.channels:
-            t = ch.next_event_cycle(now)
-            if t < nxt:
-                nxt = t
-                if nxt <= now:
-                    return now
-        if self._l2_wait:
-            t = self._l2_wait[0][0]
-            if t < nxt:
-                nxt = t
-        q = self.request_pipe._q
-        if q:
-            t = q[0][0]
-            if t < nxt:
-                nxt = t
-        q = self.response_pipe._q
-        if q:
-            t = q[0][0]
-            if t < nxt:
-                nxt = t
-        return now if nxt <= now else nxt
-
+    # ------------------------------------------------------------ issue spans
     def earliest_delivery_cycle(self, now: int) -> int:
         """Conservative lower bound on the next ``on_response`` delivery
         (demand fill, merged demand, or prefetch fill) to *any* SM.
 
-        The event engine may batch-execute SM cycles ``[now, bound+1)``
-        knowing no response can mutate SM state inside the span: a
-        response delivered during the subsystem phase of cycle ``c``
-        is only visible to SM phases from ``c + 1`` on.  Every term
+        An issue span (:mod:`repro.sim.fastcore`) may batch-execute SM
+        cycles ``[now, bound+1)`` knowing no response can mutate SM
+        state inside the span: a response delivered during the
+        subsystem phase of cycle ``c`` is only visible to SM phases from
+        ``c + 1`` on.  Every term
         understates the true delivery cycle (queueing, bandwidth limits
         and fault-injected delays only push it later; fault drops remove
         it entirely)."""

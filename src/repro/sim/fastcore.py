@@ -1,55 +1,41 @@
-"""Event-driven fast core: the ``engine="event"`` simulator main loop.
+"""Issue spans: the ``engine="event"`` step of the simulator main loop.
 
-The reference loop (:meth:`repro.sim.gpu.GPU.run`, ``engine="cycle"``)
-advances every component every cycle.  Most cycles do nothing but accrue
-a stall counter: warps wait on memory, DRAM waits on its completion
-heap, the interconnect pipes wait on their latency.  This module skips
-those cycles in batches while staying *bit-identical* to the reference —
-the differential suite (``tests/sim/test_differential_engines.py``)
-pins every counter, series and snapshot across both engines.
+:meth:`repro.sim.gpu.GPU.run` has one main loop for both engines.  Every
+cycle it advances each SM whose last span has ended, then runs the
+memory subsystem's reference ``cycle``.  Under ``engine="cycle"`` an SM
+advances through ``SM.cycle``; under ``engine="event"`` it advances
+through :func:`_dispatch`, which opens an *issue span* when it can: a
+run of cycles whose ALU issues and stalls are executed in one batch,
+with the SM skipped until the span's end (``sm._skip_until``).  Results
+stay *bit-identical* to the reference — the differential suite
+(``tests/sim/test_differential_engines.py``) pins every counter, series
+and snapshot across both engines.
 
-Design (docs/architecture.md has the full contract):
+The span contract (docs/architecture.md has the full version):
 
-* **Next-event hooks.**  Each component exposes ``next_event_cycle(now)``
-  — the earliest cycle at which it would do more than batch-accruable
-  accounting.  ``SM.next_event_cycle``, ``Scheduler.next_issue_cycle``,
-  ``MemorySubsystem.next_event_cycle`` and
-  ``DramChannel.next_event_cycle`` are conservative lower bounds: they
-  may fire early (wasting a check) but never late (missing work).
-
-* **Response bound.**  SM state can change under an SM span only via a
+* **Response bound.**  SM state can change under a span only via a
   memory response.  :meth:`MemorySubsystem.earliest_delivery_cycle`
   lower-bounds the next delivery to *any* SM; a response delivered in
   the subsystem phase of cycle ``c`` is visible to SM phases from
-  ``c + 1``, so every SM span is capped at ``bound + 1``.
-
-* **Eager spans.**  SM issue spans accrue their counters up front and
-  set ``sm._skip_until``; external events (responses, CTA launches)
-  reset it, and because spans never outrun the response bound the
+  ``c + 1``, so a span is capped at ``bound + 1``.  Spans accrue their
+  counters up front; responses and CTA launches reset
+  ``sm._skip_until``, and because spans never outrun the bound the
   accrued prefix never overlaps the re-dispatched suffix.
-
-* **Lazy stall spans.**  Pure stall spans defer their accounting: the
-  span records only its start (``sm._span_from``) and settles the
-  elapsed stall cycles via :meth:`SM._settle_span` at the first
-  subsequent touch point — re-dispatch (settle to ``now``), a memory
-  response (settle to ``now + 1``, since the reference loop charges the
-  arrival cycle as stalled), or a hook/exit boundary (settle to
-  ``now``).  This keeps a span interrupted mid-flight from ever having
-  over-accrued.
 
 * **Hard spans.**  An issue span whose pre-executed picks provably
   cannot be altered by a memory response — no replay in flight, the
   two-level ready queue full (a response can only append to the
-  eligible pool), eager wake-up off, no queued prefetch work — is
-  marked ``_span_hard`` and allowed to run to the hook boundary instead
-  of the response bound; responses do not reset its ``_skip_until``.
-  Lazy stall spans are never hard: a response settles them immediately.
+  eligible pool), eager wake-up off (``sm._hard_span_ok``), no queued
+  prefetch work, single kernel — is marked ``_span_hard`` and may run
+  to the hook boundary instead of the response bound; responses do not
+  reset its ``_skip_until``.  Its stalls stay under the response bound.
 
-* **Hook boundaries.**  Spans and clock jumps never cross the next
-  monitor / obs-window / watchdog boundary, so samples, window flushes
-  and hang checks fire at exactly the reference cycles with exactly the
-  reference counter state.  This is also what anchors the watchdog to
-  *simulated* cycles rather than loop iterations.
+* **Hook boundaries.**  Spans never cross the next monitor /
+  obs-window / watchdog boundary (:func:`_next_hook`), so samples,
+  window flushes and hang checks fire at exactly the reference cycles
+  with exactly the reference counter state.  Spans also end at the
+  SM's own future work: the L1 hit-heap head and
+  ``Prefetcher.next_event_cycle``.
 
 * **Issue automaton.**  For the two-level schedulers (``two_level``,
   ``pas``) runs of back-to-back ALU issues are replayed in local arrays
@@ -57,7 +43,9 @@ Design (docs/architecture.md has the full contract):
   steady-state full rotations; cursors are advanced in bulk via
   :meth:`repro.sim.isa.WarpCursor.consume_alu`.  The span stops before
   the first cycle that would pick a load/store/EXIT, which then runs
-  through the reference ``SM.cycle`` path.
+  through the reference ``SM.cycle`` path.  A wedged load replay
+  (:func:`_replay_wedged`) does not stop a span; its failed retries
+  are charged in bulk.
 """
 
 from __future__ import annotations
@@ -65,7 +53,7 @@ from __future__ import annotations
 from repro.sim.isa import InstrKind
 from repro.sim.sched import TwoLevel
 
-#: Sentinel "never" cycle shared by every next-event hook.
+#: Sentinel "never" cycle: no span end / no wake-up.
 NEVER = 1 << 62
 
 
@@ -73,7 +61,7 @@ def _next_hook(t: int, limit: int, interval: int, obs_interval: int,
                wd_interval: int) -> int:
     """First cycle after ``t`` at which any periodic hook (monitor
     sample, obs window flush, watchdog check) fires, capped at
-    ``limit``.  Spans and clock jumps never cross this boundary."""
+    ``limit``.  Spans never cross this boundary."""
     nh = limit
     if interval:
         b = t - t % interval + interval
@@ -381,14 +369,12 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
 def _dispatch(sm, now: int, hook_at: int, sub, cap_box) -> None:
     """Advance one SM from cycle ``now``: run the reference ``cycle``
     when per-cycle work is pending, otherwise open the longest provably
-    safe span and record it in ``sm._skip_until``.
+    safe issue span and record its end in ``sm._skip_until``.
 
-    ``cap_box`` is a one-slot cache of the iteration's response bound
-    (``earliest_delivery_cycle + 1``), computed lazily so iterations
-    whose SMs never need it don't pay for it."""
+    ``cap_box`` is a one-slot cache of the cycle's response bound
+    (``earliest_delivery_cycle + 1``), computed lazily so cycles whose
+    SMs never need it don't pay for it."""
     sm._span_hard = False
-    if sm._span_from >= 0:
-        sm._settle_span(now)
     if sm.unfinished_warps == 0:
         if sm.miss_queue or sm.store_queue or sm.prefetch_miss_queue:
             sm.cycle(now)
@@ -412,36 +398,22 @@ def _dispatch(sm, now: int, hook_at: int, sub, cap_box) -> None:
     if rp is not None and (rp.is_store or not _replay_wedged(sm, rp)):
         sm.cycle(now)
         return
-    # End bound for *lazy* spans: hooks and the SM's own future work
-    # (ripe hits, serviceable prefetches) — but not the response bound.
-    lazy_end = hook_at
-    if hh and hh[0][0] < lazy_end:
-        lazy_end = hh[0][0]
-    p = sm.prefetcher.next_event_cycle(now)
-    if p < lazy_end:
-        lazy_end = p
-    nxt = sm.scheduler.next_issue_cycle()
-    if nxt > now:
-        # No warp can issue before `nxt` absent an external event: open
-        # a lazy stall span with deferred accounting.  No response cap
-        # is needed — an early response settles the shorter prefix
-        # (SM._settle_span) before mutating any warp.
-        if nxt < lazy_end:
-            lazy_end = nxt
-        if lazy_end <= now:
-            sm.cycle(now)
-            return
-        sm._span_from = now
-        sm._span_replay = rp is not None
-        sm._skip_until = lazy_end
-        return
-    # Something is pickable this cycle.  Two-level schedulers batch ALU
-    # issue runs eagerly under the response bound; flat schedulers
-    # (lrr/gto variants) run issue cycles through the reference path.
+    # Two-level schedulers batch ALU issue runs (and the stalls between
+    # them); flat schedulers (lrr/gto variants) run every cycle through
+    # the reference path.
     sched = sm.scheduler
     if not isinstance(sched, TwoLevel):
         sm.cycle(now)
         return
+    # Span end: hooks and the SM's own future work (ripe hits,
+    # prefetcher wake-ups); non-hard spans also stop at the response
+    # bound below.
+    end = hook_at
+    if hh and hh[0][0] < end:
+        end = hh[0][0]
+    p = sm.prefetcher.next_event_cycle(now)
+    if p < end:
+        end = p
     cap = cap_box[0]
     if cap == 0:
         cap = cap_box[0] = sub.earliest_delivery_cycle(now) + 1
@@ -454,7 +426,9 @@ def _dispatch(sm, now: int, hook_at: int, sub, cap_box) -> None:
     # Multi-kernel runs additionally classify each issue cycle from
     # every co-resident kernel's perspective using that kernel's live
     # waiting count — a response landing mid-span changes it — so they
-    # keep all spans under the response bound.
+    # keep all spans under the response bound.  The refill is the one
+    # the reference pick would run first this cycle.
+    sched._refill()
     hard = (
         rp is None
         and not sm._multi
@@ -462,10 +436,8 @@ def _dispatch(sm, now: int, hook_at: int, sub, cap_box) -> None:
         and not sm.prefetch_queue
         and len(sched.ready) == sched.ready_size
     )
-    if hard:
-        end = lazy_end
-    else:
-        end = lazy_end if lazy_end < cap else cap
+    if not hard and cap < end:
+        end = cap
     if end <= now:
         sm.cycle(now)
         return
@@ -488,108 +460,3 @@ def _dispatch(sm, now: int, hook_at: int, sub, cap_box) -> None:
             ks.l1_misses += k
     sm._skip_until = t
     sm._span_hard = hard
-
-
-def run_event_loop(gpu, limit: int, monitor, interval: int) -> None:
-    """Event-engine replacement for the reference main loop in
-    :meth:`repro.sim.gpu.GPU.run`; advances ``gpu.now`` to exactly the
-    cycle the reference loop would have stopped at, with bit-identical
-    component state."""
-    sub = gpu.subsystem
-    sms = gpu.sms
-    obs = gpu.obs
-    wd = gpu.watchdog
-    wd_interval = wd.check_interval if wd is not None else 0
-    obs_interval = obs.window_interval if obs is not None else 0
-    now = gpu.now
-    hook_at = _next_hook(now, limit, interval, obs_interval, wd_interval)
-    cap_box = [0]
-    while now < limit:
-        # Cheap done probe: unfinished_warps is a plain attribute, and
-        # an SM with zero unfinished warps and an empty CTA slot is done
-        # (gpu.done confirms before exiting).
-        running = False
-        for sm in sms:
-            if sm.unfinished_warps:
-                running = True
-                break
-        if not running and gpu.done:
-            break
-        # Components read the clock during dispatch (CTA launches,
-        # response timestamps), so it must be live every iteration.
-        gpu.now = now
-        min_wake = sub._next_event
-        ran = False
-        cap_box[0] = 0
-        for sm in sms:
-            su = sm._skip_until
-            if su > now:
-                if su < min_wake:
-                    min_wake = su
-            else:
-                ran = True
-                _dispatch(sm, now, hook_at, sub, cap_box)
-        # Re-read: SM dispatches may have submitted requests and pulled
-        # the subsystem's next event earlier (possibly to `now` itself
-        # under a zero-latency interconnect).
-        if sub._next_event <= now:
-            sub.cycle_event(now)
-            ran = True
-        now += 1
-        if not ran and min_wake > now:
-            # Quiet iteration: every SM is inside a span and the
-            # subsystem has no ripe work.  Jump to the next wake-up,
-            # never crossing a hook boundary.
-            tgt = min_wake if min_wake < hook_at else hook_at
-            if tgt > now:
-                now = tgt
-        if now >= hook_at:
-            gpu.now = now
-            for sm in sms:
-                if sm._span_from >= 0:
-                    sm._settle_span(now)
-            sub.sync_accounting(now)
-            if interval and now % interval == 0:
-                monitor.sample(gpu, now)
-            if obs_interval and now % obs_interval == 0:
-                obs.flush(gpu, now)
-            if wd_interval and now % wd_interval == 0:
-                wd.check(gpu, now)
-            hook_at = _next_hook(now, limit, interval, obs_interval,
-                                 wd_interval)
-    gpu.now = now
-    for sm in sms:
-        if sm._span_from >= 0:
-            sm._settle_span(now)
-    sub.sync_accounting(now)
-
-
-def flush_memory_event(gpu, limit: int) -> None:
-    """Event-engine counterpart of :meth:`repro.sim.gpu.GPU._flush_memory`.
-
-    Drains in-flight traffic after the last warp retires, skipping the
-    quiet gaps between subsystem events.  The drain deadline counts
-    *simulated* cycles — identical to the reference formula — so the
-    fast engine can neither trip nor mask the post-run drain cap."""
-    sub = gpu.subsystem
-    sms = gpu.sms
-    t = gpu.now
-    deadline = t + min(100_000, max(0, limit - t) + 100_000)
-    while t < deadline:
-        busy = False
-        for sm in sms:
-            if sm.miss_queue or sm.store_queue or sm.prefetch_miss_queue:
-                sm._drain_miss_queue(t)
-                busy = True
-        if sub._next_event <= t:
-            sub.cycle_event(t)
-        t += 1
-        if not busy:
-            if sub.drained():
-                break
-            ne = sub._next_event
-            if ne > t:
-                if ne > deadline:
-                    ne = deadline
-                t = ne
-    sub.sync_accounting(t)

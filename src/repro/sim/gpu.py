@@ -20,6 +20,7 @@ from repro.obs import build as build_obs
 from repro.prefetch.base import NoPrefetcher
 from repro.prefetch.stats import PrefetchStats
 from repro.sim.cta import CTADistributor
+from repro.sim.fastcore import _dispatch, _next_hook
 from repro.sim.kernel import KernelInfo
 from repro.sim.sm import SM, SMStats
 
@@ -179,48 +180,16 @@ class GPU:
         """
         limit = max_cycles if max_cycles is not None else self.config.max_cycles
         interval = getattr(monitor, "interval", 0)
-        wd = self.watchdog
-        deep = self.config.deep_checks
         obs = self.obs
-        obs_interval = obs.window_interval if obs is not None else 0
-        # The event engine is bit-identical to the cycle loop below but
-        # skips quiet cycles in batches (repro.sim.fastcore).  Deep
-        # per-cycle invariant checks and the profiled loop inspect every
-        # cycle by design, so they force the reference path.
-        use_event = (
-            self.config.engine == "event"
-            and not deep
-            and (obs is None or obs.profiler is None)
-        )
         if obs is not None and obs.profiler is not None:
-            self._run_loop_profiled(limit, monitor, interval, obs_interval)
-        elif use_event:
-            from repro.sim.fastcore import run_event_loop
-
-            run_event_loop(self, limit, monitor, interval)
+            self._run_loop_profiled(limit, monitor, interval,
+                                    obs.window_interval)
         else:
-            while not self.done and self.now < limit:
-                for sm in self.sms:
-                    sm.cycle(self.now)
-                self.subsystem.cycle(self.now)
-                self.now += 1
-                if interval and self.now % interval == 0:
-                    monitor.sample(self, self.now)
-                if obs_interval and self.now % obs_interval == 0:
-                    obs.flush(self, self.now)
-                if deep:
-                    self.invariants.check_cycle(self, self.now)
-                if wd is not None and self.now % wd.check_interval == 0:
-                    wd.check(self, self.now)
+            self._run_loop(limit, monitor, interval)
         completed = self.done
         cycles = self.now
         if completed:
-            if use_event:
-                from repro.sim.fastcore import flush_memory_event
-
-                flush_memory_event(self, limit)
-            else:
-                self._flush_memory(limit)
+            self._flush_memory(limit)
         for sm in self.sms:
             sm.finalize()
         if obs is not None:
@@ -232,6 +201,57 @@ class GPU:
         if not completed:
             result.extra["hang_snapshot"] = build_snapshot(self, cycles)
         return result
+
+    def _run_loop(self, limit: int, monitor, interval: int) -> None:
+        """The main loop of both engines.
+
+        Each cycle advances every SM whose issue span has ended — through
+        the reference ``SM.cycle`` under ``engine="cycle"``, through
+        :func:`repro.sim.fastcore._dispatch` (which may open a new span)
+        under ``engine="event"`` — then the memory subsystem, then the
+        periodic hooks.  Deep per-cycle invariant checks inspect every
+        cycle's state, so they run without spans."""
+        sms = self.sms
+        sub = self.subsystem
+        obs = self.obs
+        wd = self.watchdog
+        deep = self.config.deep_checks
+        obs_interval = obs.window_interval if obs is not None else 0
+        wd_interval = wd.check_interval if wd is not None else 0
+        spans = self.config.engine == "event" and not deep
+        now = self.now
+        hook_at = _next_hook(now, limit, interval, obs_interval, wd_interval)
+        cap_box = [0]
+        while now < limit:
+            # Cheap done probe: an SM with unfinished warps is not done.
+            for sm in sms:
+                if sm.unfinished_warps:
+                    break
+            else:
+                if self.done:
+                    break
+            if spans:
+                cap_box[0] = 0
+                for sm in sms:
+                    if sm._skip_until <= now:
+                        _dispatch(sm, now, hook_at, sub, cap_box)
+            else:
+                for sm in sms:
+                    sm.cycle(now)
+            sub.cycle(now)
+            now += 1
+            self.now = now
+            if deep or now >= hook_at:
+                if interval and now % interval == 0:
+                    monitor.sample(self, now)
+                if obs_interval and now % obs_interval == 0:
+                    obs.flush(self, now)
+                if deep:
+                    self.invariants.check_cycle(self, now)
+                if wd_interval and now % wd_interval == 0:
+                    wd.check(self, now)
+                hook_at = _next_hook(now, limit, interval, obs_interval,
+                                     wd_interval)
 
     def _run_loop_profiled(self, limit: int, monitor, interval: int,
                            obs_interval: int) -> None:

@@ -67,19 +67,6 @@ class Scheduler:
         skipped."""
         raise NotImplementedError
 
-    def next_issue_cycle(self) -> int:
-        """Earliest cycle at which :meth:`pick` could return a warp,
-        assuming no external event (memory response, CTA launch) arrives
-        first — the scheduler half of the event engine's next-event
-        contract (docs/architecture.md).  Returns a large sentinel when
-        every resident warp is blocked.  Must never be later than the
-        true next issue (conservative lower bounds are fine)."""
-        nxt = 1 << 62
-        for w in self.warps:
-            if w.state is WarpState.READY and w.ready_at < nxt:
-                nxt = w.ready_at
-        return nxt
-
     def _can_issue(self, warp: Warp, now: int, lsu_free: bool) -> bool:
         return warp.issuable(now) and (lsu_free or not _wants_lsu(warp))
 
@@ -192,20 +179,6 @@ class TwoLevel(Scheduler):
     def ready_depth(self) -> int:
         """Ready-queue occupancy (the paper's 8-entry inner level)."""
         return len(self.ready)
-
-    def next_issue_cycle(self) -> int:
-        """Earliest possible issue, considering the ready queue only.
-
-        Exact for two-level policies: eligible-pool warps enter the
-        ready queue only through :meth:`_refill` (called at pick time)
-        or an eager wake-up — both already covered by the event engine's
-        refill-then-scan and response-bound rules."""
-        self._refill()
-        nxt = 1 << 62
-        for w in self.ready:
-            if w.ready_at < nxt:
-                nxt = w.ready_at
-        return nxt
 
     def pick(self, now: int, lsu_free: bool) -> Optional[Warp]:
         """Refill the ready queue from the pool, then round-robin it."""

@@ -196,16 +196,11 @@ class SM:
         self._queued_prefetch_lines: set = set()
         self._hit_heap: List[Tuple[int, int]] = []  # (ready_cycle, warp_uid)
         self._hit_seq = 0
-        # Event engine bookkeeping: cycles below this were batch-executed
-        # (or batch-accounted) by repro.sim.fastcore; external events
-        # (responses, CTA launches) reset it so the SM re-enters the
-        # per-cycle path at once.  The cycle engine never reads it.
+        # Issue-span bookkeeping: cycles below this were batch-executed
+        # by repro.sim.fastcore; external events (responses, CTA
+        # launches) reset it so the SM re-enters the per-cycle path at
+        # once.  Under engine="cycle" it stays 0.
         self._skip_until = 0
-        # Open lazy stall span: first skipped cycle (-1 = none) and
-        # whether each skipped cycle also charged a failed replay
-        # attempt.  Settled by _settle_span when the span ends.
-        self._span_from = -1
-        self._span_replay = False
         # A "hard" issue span is response-tolerant: its pre-executed
         # issues provably cannot be altered by a memory response (full
         # ready queue, no eager wake-up), so responses must NOT reset
@@ -252,8 +247,6 @@ class SM:
 
     def launch_cta(self, cta_id: int, now: int,
                    kernel: Optional[KernelInfo] = None) -> None:
-        if self._span_from >= 0:  # defensive: launches reach a lazy-span
-            self._settle_span(now)  # SM only via its own cycle
         if not self._span_hard:
             # A response-driven launch lands new warps in the eligible
             # pool (ready queue full by the hard-span precondition), so
@@ -361,84 +354,6 @@ class SM:
             and self.unused_prefetched_resident < self._prefetch_resident_limit
         ):
             self._service_prefetch(now)
-
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest cycle >= ``now`` at which :meth:`cycle` does more
-        than accrue a stall — the SM half of the event engine's
-        next-event contract (docs/architecture.md).
-
-        Returns ``now`` whenever any per-cycle work is pending (ripe L1
-        hits, queued misses/stores/prefetches, an active replay, a
-        serviceable prefetch candidate, or an issuable warp); otherwise
-        the earliest cycle a resident warp could issue.  External events
-        (memory responses, CTA launches) may move the true next event
-        earlier at any time; the event engine accounts for that with the
-        memory subsystem's response bound.
-        """
-        if self.unfinished_warps == 0:
-            if self.miss_queue or self.store_queue or self.prefetch_miss_queue:
-                return now
-            return 1 << 62
-        if (
-            self.replay is not None
-            or self.miss_queue
-            or self.store_queue
-            or self.prefetch_miss_queue
-            or (self._hit_heap and self._hit_heap[0][0] <= now)
-            or (
-                self.prefetch_queue
-                and self.unused_prefetched_resident < self._prefetch_resident_limit
-            )
-        ):
-            return now
-        nxt = self.scheduler.next_issue_cycle()
-        pf_next = self.prefetcher.next_event_cycle(now)
-        if pf_next < nxt:
-            nxt = pf_next
-        if self._hit_heap and self._hit_heap[0][0] < nxt:
-            nxt = self._hit_heap[0][0]
-        return now if nxt <= now else nxt
-
-    def _settle_span(self, upto: int) -> None:
-        """Close the open lazy stall span, accruing cycles ``[_span_from,
-        upto)`` exactly as the reference per-cycle path would have.
-
-        The event engine (:mod:`repro.sim.fastcore`) opens a lazy span
-        when no warp can issue before a known wake-up cycle: counters
-        are deferred rather than accrued eagerly, so the span needs no
-        response bound — an early memory response simply settles the
-        shorter prefix.  Callers: the event-engine dispatch (natural
-        expiry), :meth:`on_mem_response` (early truncation), and the
-        hook/exit points of the main loop (observer reads).  The stall
-        classification and the wedged-replay charge are constant over
-        the span because every mutation source either runs through the
-        per-cycle path or settles the span first."""
-        k = upto - self._span_from
-        self._span_from = -1
-        replay = self._span_replay
-        self._span_replay = False
-        if k <= 0:
-            return
-        stats = self.stats
-        stats.active_cycles += k
-        if self.waiting_mem_warps >= self.unfinished_warps:
-            stats.stall_mem_all += k
-        elif self.waiting_mem_warps > 0:
-            stats.stall_mem_partial += k
-        else:
-            stats.stall_other += k
-        if replay:
-            stats.replay_cycles += k
-            l1 = self.l1
-            l1._tick += k
-            l1.accesses += k
-            l1.misses += k
-        if self._multi:
-            self._kernel_stall_cycles(k)
-            if replay:
-                ks = self.kstats[self.replay.warp.kernel_id]
-                ks.l1_accesses += k
-                ks.l1_misses += k
 
     def _account_stall(self) -> None:
         if self.waiting_mem_warps >= self.unfinished_warps and self.unfinished_warps:
@@ -883,13 +798,7 @@ class SM:
 
     # -------------------------------------------------------------- responses
     def on_mem_response(self, req: MemoryRequest, now: int) -> None:
-        if self._span_from >= 0:
-            # The SM phase of cycle `now` already passed (skipped inside
-            # the span) before this subsystem-phase delivery: settle
-            # through `now` inclusive, with pre-response warp counts.
-            self._settle_span(now + 1)
-            self._skip_until = 0
-        elif not self._span_hard:
+        if not self._span_hard:
             self._skip_until = 0
         line_addr = req.line_addr
         meta = self._inflight_prefetch.get(line_addr)

@@ -1,7 +1,7 @@
 """Reusable helpers for differential engine testing.
 
-The event engine (``repro.sim.fastcore``) must be *bit-identical* to the
-reference cycle loop: every headline metric, stall counter, component
+The event engine's issue spans (``repro.sim.fastcore``) must be
+*bit-identical* to the reference per-cycle SM step: every headline metric, stall counter, component
 counter, windowed observability series and hang snapshot has to match to
 the integer.  These helpers run one workload under both engines from
 identical initial conditions and produce deep fingerprints whose

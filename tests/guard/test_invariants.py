@@ -41,6 +41,44 @@ def test_deep_checks_pass_incomplete_run():
     assert not result.completed
 
 
+@pytest.mark.parametrize("core", ["cycle", "event"])
+@pytest.mark.parametrize("cut", [300, 500, 800])
+@pytest.mark.parametrize("bench", ["MRQ", "MM", "BFS", "CNV"])
+def test_truncated_prefetch_runs_conserve_outcomes(bench, cut, core):
+    """A CAPS run cut with prefetches in flight (some already merged
+    into by demands) passes every end-of-run invariant, and each issued
+    prefetch has exactly one outcome: a merged in-flight prefetch is a
+    late_merge from its first merge on, not a separate term."""
+    cfg = tiny_config(engine=core).with_scheduler(
+        default_scheduler_for("caps"))
+    gpu = GPU(build(bench, Scale.TINY), cfg, make_prefetcher("caps"))
+    result = gpu.run(max_cycles=cut)
+    assert not result.completed
+    if cut == 300:
+        # The case that used to be counted twice: merged, still in flight.
+        assert any(m.waiters for sm in gpu.sms
+                   for m in sm._inflight_prefetch.values())
+    p = result.prefetch_stats
+    assert p.issued > 0
+    assert p.issued == (p.useful + p.late_merge + p.early_evicted
+                        + p.unused_at_end)
+
+
+@pytest.mark.parametrize("cut", [64, 258, 355, 452])
+def test_truncated_prefetch_corun_conserves_outcomes(cut):
+    """The same on a preemptive MRQ+MM co-run, per kernel as well."""
+    from repro.sim.multi import simulate_corun
+
+    cfg = tiny_config().with_multi(alloc_policy="preempt").with_scheduler(
+        default_scheduler_for("caps"))
+    result = simulate_corun([build(b, Scale.TINY) for b in ("MRQ", "MM")],
+                            cfg, make_prefetcher("caps"), max_cycles=cut)
+    assert not result.completed
+    p = result.prefetch_stats
+    assert p.issued == (p.useful + p.late_merge + p.early_evicted
+                        + p.unused_at_end)
+
+
 def _finished_gpu():
     gpu = GPU(make_stream_kernel(), tiny_config())
     gpu.run()

@@ -110,7 +110,7 @@ def test_hang_error_survives_pickling():
 
 class TestWatchdogEventEngine:
     """The event engine must keep every watchdog guarantee in *simulated*
-    cycles: skipping quiet cycles in batches is not allowed to stretch
+    cycles: batching issue cycles into spans is not allowed to stretch
     (or shrink) hang-detection latency or move the detection point."""
 
     def test_wedged_warp_detected_at_same_cycle_both_engines(self):

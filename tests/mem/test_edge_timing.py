@@ -1,9 +1,9 @@
 """Edge-timing tests for the DRAM channel and interconnect pipe.
 
-The event engine advances these components in batches, so the exact
-cycle at which each boundary condition fires is load-bearing: a row hit
-decided one cycle early, a completion popped one cycle late, or an idle
-span accounted differently from the per-cycle loop would all break the
+The event engine's issue spans are bounded by the earliest cycle a
+memory response can reach an SM, so the exact cycle at which each
+boundary condition fires is load-bearing: a row hit decided one cycle
+early or a completion popped one cycle late would break the
 bit-identity contract.  These tests pin the boundaries directly at the
 component level (the differential suite pins them end-to-end).
 """
@@ -14,8 +14,6 @@ from repro.config import DRAMConfig
 from repro.mem.dram import DramChannel
 from repro.mem.icnt import Pipe
 from repro.mem.request import Access, MemoryRequest
-
-SENTINEL = 1 << 62
 
 
 def dcfg(**kw):
@@ -151,50 +149,8 @@ class TestSameCycleCompletions:
 
 
 class TestNextEventContract:
-    def test_queued_work_means_now(self):
-        ch = DramChannel(dcfg(), 0)
-        ch.push(req(0))
-        assert ch.next_event_cycle(7) == 7
-        ch2 = DramChannel(dcfg(), 0)
-        ch2.push(req(0, Access.STORE))
-        assert ch2.next_event_cycle(7) == 7
-
-    def test_inflight_only_means_completion_head(self):
-        ch = DramChannel(dcfg(), 0)
-        ch.push(req(0))
-        ch.cycle(0, lambda r: None)  # miss issued: completes at 20
-        assert ch.next_event_cycle(1) == 20
-        # A stale head (already ripe) clamps to now, never the past.
-        assert ch.next_event_cycle(30) == 30
-
-    def test_drained_means_sentinel(self):
-        ch = DramChannel(dcfg(), 0)
-        assert ch.next_event_cycle(5) == SENTINEL
-
-    def test_idle_span_accrual_matches_percycle_loop(self):
-        """account_idle_span(n) == n idle cycle() calls, counter for
-        counter, both with and without in-flight completions."""
-        def idle_spin(ch, start, n):
-            for now in range(start, start + n):
-                ch.cycle(now, lambda r: None)
-
-        batched, spun = DramChannel(dcfg(), 0), DramChannel(dcfg(), 0)
-        for ch in (batched, spun):
-            ch.push(req(0))
-            ch.cycle(0, lambda r: None)  # one read in flight, queues empty
-        batched.account_idle_span(10)
-        idle_spin(spun, 1, 10)
-        assert (batched.cycles_observed, batched.busy_cycles,
-                batched.queue_occupancy_sum) == (
-            spun.cycles_observed, spun.busy_cycles,
-            spun.queue_occupancy_sum)
-        # After draining, idle cycles are not busy under either scheme.
-        for ch in (batched, spun):
-            ch.cycle(50, lambda r: None)
-        batched.account_idle_span(10)
-        idle_spin(spun, 51, 10)
-        assert (batched.cycles_observed, batched.busy_cycles) == (
-            spun.cycles_observed, spun.busy_cycles)
+    """Timing the issue spans' response bound
+    (``MemorySubsystem.earliest_delivery_cycle``) relies on."""
 
     def test_pipe_boundary_delivery(self):
         """ready_at is exact: no delivery at latency-1, delivery at latency."""

@@ -1,10 +1,10 @@
 """Differential harness pinning the event engine to the cycle engine.
 
-The tentpole guarantee of the event-driven fast core
+The guarantee of the event engine's issue spans
 (:mod:`repro.sim.fastcore`) is *bit-identical* results: for every
-workload, scheduler and prefetcher combination the fast path must
+workload, scheduler and prefetcher combination the batched path must
 produce exactly the counters, series and snapshots of the reference
-per-cycle loop.  This suite sweeps the full workload matrix at TINY
+per-cycle SM step.  This suite sweeps the full workload matrix at TINY
 scale and compares deep fingerprints (see :mod:`tests._difftools`).
 """
 
@@ -155,21 +155,17 @@ class TestMultiKernel:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_truncated_corun_identical(self, policy):
         """A run cut off mid-flight (CTAs still resident, preemption
-        decisions half-made) must still fingerprint identically.
-
-        No prefetcher: truncation with prefetches in flight trips the
-        (pre-existing, engine-independent) prefetch-outcome invariant,
-        which is about accounting at the cut, not engine identity.
-        """
+        decisions half-made, prefetches in flight) must still
+        fingerprint identically."""
         cfg = tiny_config().with_multi(alloc_policy=policy)
         full = run_corun_differential(
             lambda: [build(b, Scale.TINY) for b in ("MRQ", "MM")], cfg,
-            label=f"corun/{policy}/full",
+            _factory("caps"), label=f"corun/{policy}/full",
         )
         cut = max(64, full.cycles // 3)
         res = run_corun_differential(
             lambda: [build(b, Scale.TINY) for b in ("MRQ", "MM")], cfg,
-            max_cycles=cut,
+            _factory("caps"), max_cycles=cut,
             label=f"corun/{policy}/truncated@{cut}",
         )
         assert not res.completed
