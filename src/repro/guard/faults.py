@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.errors import InjectedWorkerCrash
@@ -118,7 +118,10 @@ class ServeFaultPlan:
 
     * **kill** — backend ``kill_backend`` hard-exits (``os._exit``)
       while serving its ``kill_after_requests``-th simulate request:
-      mid-flight crash, in-flight work lost, stale socket left behind;
+      mid-flight crash, in-flight work lost, stale socket left behind.
+      The kill fires once per plan: a supervisor restarts the victim
+      with :meth:`without_kill`, so recovery is tested against one
+      crash however the sweep's requests land across the restart;
     * **slow** — a fraction of simulate requests sleep
       ``slow_request_s`` before answering (a degraded backend);
     * **blackhole** — a fraction of simulate requests are accepted and
@@ -157,6 +160,11 @@ class ServeFaultPlan:
         :meth:`FaultPlan.stream`)."""
         digest = hashlib.sha256(f"{self.seed}:{label}".encode()).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
+
+    def without_kill(self) -> "ServeFaultPlan":
+        """This plan with the kill fault disarmed (every other fault
+        class and its random streams unchanged)."""
+        return replace(self, kill_backend=-1, kill_after_requests=0)
 
     @property
     def any_faults(self) -> bool:

@@ -9,7 +9,7 @@ Lifecycle guarantees:
 
 * **restart-on-crash** — :meth:`BackendSupervisor.poll` notices a dead
   process (any nonzero exit: a chaos kill, an OOM, a bug) and respawns
-  it, but only after an exponential backoff (``backoff_base_s``
+  it (a chaos plan's kill fault disarmed, so one plan is one crash), but only after an exponential backoff (``backoff_base_s``
   doubling per restart, capped) and only while the per-backend
   ``restart_budget`` lasts — a crash-looping backend eventually stays
   down instead of burning the host, and the router's circuit breaker
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from repro.exec.cache import ResultCache
@@ -119,8 +119,16 @@ class BackendSupervisor:
 
     # --------------------------------------------------------- lifecycle
     def _spawn(self, state: BackendProcessState) -> None:
+        spec = state.spec
+        plan = spec.serve.fault_plan
+        if state.restarts and plan is not None:
+            # A chaos kill is one crash: the restarted victim comes back
+            # with the kill disarmed, else it would die again on its
+            # next requests and the recovery would depend on timing.
+            spec = replace(spec, serve=replace(
+                spec.serve, fault_plan=plan.without_kill()))
         process = self._ctx.Process(
-            target=_backend_main, args=(state.spec,),
+            target=_backend_main, args=(spec,),
             name=f"repro-backend-{state.spec.index}", daemon=False)
         process.start()
         state.process = process

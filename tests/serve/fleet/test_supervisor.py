@@ -149,6 +149,40 @@ class TestRestart:
             assert [e["event"] for e in supervisor.poll()] == ["restarted"]
 
 
+class TestChaosKillIsOneCrash:
+    def test_restart_disarms_the_kill_fault(self, monkeypatch, clock):
+        """The victim of a chaos kill is respawned with the kill
+        disarmed and every other fault class kept."""
+        from repro.guard.faults import ServeFaultPlan
+
+        plan = ServeFaultPlan(seed=3, kill_backend=0, kill_after_requests=2,
+                              slow_request_rate=0.5)
+        spec = BackendSpec(index=0, serve=ServeConfig(
+            socket_path="/tmp/b0.sock", fault_plan=plan))
+        launched = []
+
+        class FakeContext:
+            def Process(self, target, args, **kwargs):
+                launched.append(args[0])
+                process = FakeProcess()
+                process.start = lambda: None
+                return process
+
+        supervisor = BackendSupervisor([spec], backoff_base_s=0.1)
+        monkeypatch.setattr(supervisor, "_ctx", FakeContext())
+        supervisor.start()
+        supervisor.backends[0].process.die(44)
+        supervisor.poll()
+        clock.advance(1.0)
+        supervisor.poll()
+        assert supervisor.restarts(0) == 1
+        first, restarted = (s.serve.fault_plan for s in launched)
+        assert first == plan
+        assert restarted == plan.without_kill()
+        assert restarted.slow_request_rate == 0.5
+        assert supervisor.backends[0].spec is spec
+
+
 class TestBudget:
     def test_budget_exhaustion_gives_up(self, fake_spawn, clock):
         supervisor = BackendSupervisor(specs(1), restart_budget=2,

@@ -75,6 +75,19 @@ class TestInjectorFates:
             "serve", "serve", "kill", "serve"]
         assert [bystander.on_simulate() for _ in range(4)] == ["serve"] * 4
 
+    def test_without_kill_disarms_only_the_kill(self):
+        plan = ServeFaultPlan(seed=5, kill_backend=2, kill_after_requests=1,
+                              slow_request_rate=0.4, blackhole_rate=0.2)
+        calm = plan.without_kill()
+        assert ServeFaultInjector(plan, 2).on_simulate() == "kill"
+        assert ServeFaultInjector(calm, 2).on_simulate() != "kill"
+        # The other fault streams replay exactly.
+        a = ServeFaultInjector(calm, backend_index=2)
+        b = ServeFaultInjector(plan, backend_index=2)
+        b.simulate_seen = 1  # past its kill
+        assert [a.on_simulate() for _ in range(64)] == \
+            [b.on_simulate() for _ in range(64)]
+
     def test_fates_are_seed_deterministic(self):
         plan = ServeFaultPlan(seed=9, slow_request_rate=0.4,
                               blackhole_rate=0.2)
