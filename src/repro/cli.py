@@ -374,10 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="SIZE",
                      help="in-memory result-cache byte cap "
                           "(default: 64M; accepts K/M/G suffixes)")
-    srv.add_argument("--evict-policy",
-                     choices=("lru", "lfu", "fifo", "mru", "filo"),
-                     default="lru",
-                     help="memcache eviction policy (default: lru)")
     srv.add_argument("--no-predict", action="store_true",
                      help="disable sweep prediction and speculative "
                           "execution of the forecast next cells")
@@ -842,7 +838,6 @@ def cmd_serve(args) -> int:
         default_deadline_s=args.default_deadline,
         memcache_entries=args.memcache_entries,
         memcache_bytes=args.memcache_bytes,
-        evict_policy=args.evict_policy,
         predict=not args.no_predict,
         predict_min_run=args.predict_min_run,
         predict_depth=args.predict_depth,

@@ -368,8 +368,8 @@ class GPUConfig:
     #: every SM every cycle, the reference the spans are differentially
     #: tested against (see docs/architecture.md and tests/sim/
     #: test_differential_engines.py).  Both produce bit-identical
-    #: results; ``deep_checks`` and ``obs.profile`` turn spans off
-    #: regardless of this knob.
+    #: results; ``deep_checks`` turns spans off regardless of this knob
+    #: (``obs.profile`` does not: it times the loop that runs).
     engine: str = "event"
     #: Concurrent-kernel execution knobs; inert for single-kernel runs
     #: but always part of the cache fingerprint (schema v4).

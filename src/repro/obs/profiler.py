@@ -1,11 +1,11 @@
 """Host-side phase profiling (the profiling third of :mod:`repro.obs`).
 
 :class:`PhaseProfiler` accumulates wall-clock time per named simulator
-*phase* (SM issue pipelines, memory-subsystem cycling, CTA dispatch,
-result collection).  :class:`repro.sim.gpu.GPU` switches its main loop
-to an instrumented variant when ``ObsConfig.profile`` is on — the
-default loop carries no timing calls at all, keeping the disabled path
-free — and stores :meth:`PhaseProfiler.as_dict` under
+*phase* (SM issue, memory-subsystem cycling, obs flushes, deep
+checks).  When ``ObsConfig.profile`` is on, :class:`repro.sim.gpu.GPU`
+runs its one main loop with timing closures wrapped around that GPU's
+phase hooks for the loop's duration — the un-profiled loop carries no
+timing calls at all — and stores :meth:`PhaseProfiler.as_dict` under
 ``SimResult.extra["profile"]``.
 
 Because the payload is plain JSON it rides the :mod:`repro.exec` result
@@ -20,7 +20,6 @@ docs/execution.md).
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List
 
 
@@ -36,16 +35,6 @@ class PhaseProfiler:
         """Credit ``seconds`` of wall time (and ``calls`` entries) to a phase."""
         self.seconds[phase] = self.seconds.get(phase, 0.0) + seconds
         self.calls[phase] = self.calls.get(phase, 0) + calls
-
-    @contextmanager
-    def phase(self, name: str):
-        """Context manager timing one phase entry (convenience form;
-        the GPU's hot loop uses explicit ``perf_counter`` + :meth:`add`)."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - t0)
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-able summary for ``SimResult.extra["profile"]``."""

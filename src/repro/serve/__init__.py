@@ -7,10 +7,9 @@ tiered cache or by batching them into the existing
 * :mod:`repro.serve.protocol` — versioned line-delimited JSON schema
   (request ids, ops, the stable error-code taxonomy, the versioned
   ``stats`` payload schema);
-* :mod:`repro.serve.memcache` — in-memory LRU/LFU/FIFO/MRU/FILO result
-  tier with entry/byte caps, prefix-aware per-sweep accounting,
-  speculative-entry handling and eviction counters, layered over the
-  persistent :class:`~repro.exec.cache.ResultCache`;
+* :mod:`repro.serve.memcache` — in-memory LRU result tier with
+  entry/byte caps, speculative-entry handling and eviction counters,
+  layered over the persistent :class:`~repro.exec.cache.ResultCache`;
 * :mod:`repro.serve.scheduler` — bounded admission with explicit
   ``overloaded`` shedding, request batching into one engine dispatch,
   single-flight dedup of identical in-flight cells,
@@ -25,10 +24,10 @@ tiered cache or by batching them into the existing
   per-tier hit-rate series);
 * :mod:`repro.serve.client` — sync and async client libraries backing
   the ``repro serve`` / ``repro request`` CLI pair, with bounded
-  connect timeouts, optional retry policies and hedged requests;
-* :mod:`repro.serve.retry` — client-side resilience primitives
+  connect timeouts and optional retry policies;
+* :mod:`repro.serve.retry` — client-side resilience
   (:class:`RetryPolicy` backoff/jitter over the transient/permanent
-  error taxonomy, :func:`~repro.serve.retry.hedged` request racing);
+  error taxonomy);
 * :mod:`repro.serve.fleet` — the fault-tolerant multi-backend fleet
   (process supervisor, consistent-hash router, per-backend circuit
   breakers, degraded-mode disk fallback) behind ``repro fleet``.
@@ -54,15 +53,7 @@ from repro.serve.fleet import (
     make_fleet,
     run_fleet,
 )
-from repro.serve.memcache import (
-    EVICTION_POLICIES,
-    FIFOStrategy,
-    FILOStrategy,
-    LFUStrategy,
-    LRUStrategy,
-    MRUStrategy,
-    ServeMemCache,
-)
+from repro.serve.memcache import ServeMemCache
 from repro.serve.predict import PatternMiner, Predictor
 from repro.serve.protocol import (
     ERROR_CODES,
@@ -80,10 +71,8 @@ from repro.serve.protocol import (
 )
 from repro.serve.retry import (
     NO_RETRY,
-    HedgePolicy,
     RetryPolicy,
     RetryStats,
-    hedged,
     retryable,
 )
 from repro.serve.scheduler import RequestScheduler, SpeculationAborted
@@ -109,18 +98,10 @@ __all__ = [
     "make_fleet",
     "run_fleet",
     "NO_RETRY",
-    "HedgePolicy",
     "RetryPolicy",
     "RetryStats",
-    "hedged",
     "retryable",
     "validate_router_stats",
-    "EVICTION_POLICIES",
-    "FIFOStrategy",
-    "FILOStrategy",
-    "LFUStrategy",
-    "LRUStrategy",
-    "MRUStrategy",
     "ServeMemCache",
     "PatternMiner",
     "Predictor",

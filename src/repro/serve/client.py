@@ -16,11 +16,9 @@ same cell executed in-process.
 Resilience: connecting always has a bounded timeout
 (:data:`DEFAULT_CONNECT_TIMEOUT_S`, distinct from the per-request
 ``timeout`` — a dead endpoint fails fast even when requests may run
-unbounded), an optional :class:`~repro.serve.retry.RetryPolicy`
+unbounded), and an optional :class:`~repro.serve.retry.RetryPolicy`
 re-runs transient failures with backoff (reconnecting between
-attempts), and :class:`AsyncServeClient` can hedge interactive
-``simulate`` calls (:class:`~repro.serve.retry.HedgePolicy`) — safe
-because every request is idempotent by content-hash.
+attempts) — safe because every request is idempotent by content-hash.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.errors import RequestError
 from repro.exec.cache import deserialize_result
 from repro.serve import protocol
-from repro.serve.retry import HedgePolicy, RetryPolicy, RetryStats
+from repro.serve.retry import RetryPolicy, RetryStats
 from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT, STREAM_LIMIT
 from repro.sim.gpu import SimResult
 
@@ -212,14 +210,12 @@ class AsyncServeClient:
     def __init__(self, socket_path: Optional[str] = None,
                  host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
                  connect_timeout: Optional[float] = DEFAULT_CONNECT_TIMEOUT_S,
-                 retry: Optional[RetryPolicy] = None,
-                 hedge: Optional[HedgePolicy] = None):
+                 retry: Optional[RetryPolicy] = None):
         self.socket_path = socket_path
         self.host = host
         self.port = port
         self.connect_timeout = connect_timeout
         self.retry = retry
-        self.hedge = hedge
         self.retry_stats = RetryStats()
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
@@ -355,27 +351,11 @@ class AsyncServeClient:
                        scheduler: Optional[str] = None,
                        priority: str = "interactive",
                        deadline_s: Optional[float] = None,
-                       hedge: Optional[HedgePolicy] = None,
                        ) -> Tuple[SimResult, Dict[str, Any]]:
-        """Request one cell; returns ``(SimResult, response meta)``.
-
-        With a hedge policy (per-call ``hedge`` or the client-wide
-        default), ``interactive`` requests race staggered duplicates —
-        each duplicate is a fresh request id, so a pipelined server (or
-        a fleet router) treats them independently; single-flight dedup
-        makes the duplicate nearly free when both land on one backend.
-        """
-        hedge = hedge if hedge is not None else self.hedge
-        if hedge is not None and priority == "interactive":
-            def attempt():
-                return self.request(_simulate_payload(
-                    benchmark, engine, scale, preset, overrides, scheduler,
-                    priority, deadline_s))
-            response = await hedge.run(attempt)
-        else:
-            response = await self.request(_simulate_payload(
-                benchmark, engine, scale, preset, overrides, scheduler,
-                priority, deadline_s))
+        """Request one cell; returns ``(SimResult, response meta)``."""
+        response = await self.request(_simulate_payload(
+            benchmark, engine, scale, preset, overrides, scheduler,
+            priority, deadline_s))
         return deserialize_result(response["result"]), response.get("meta", {})
 
     async def stats(self) -> Dict[str, Any]:

@@ -90,7 +90,12 @@ PRESETS = {
 #: required ``role`` discriminator (``backend``/``router``) and with it
 #: a second payload family: the fleet router's stats (see
 #: :data:`ROUTER_STATS_SCHEMA`) with per-backend health, circuit-breaker
-#: state series and retry/hedge counters.
+#: state series and failover retry counters.  v3 later dropped
+#: ``memcache.policy``, ``memcache.prefixes`` and the router's
+#: ``retry.hedges_launched``/``retry.hedge_wins`` together with the
+#: features behind them, without a bump: the producers, these schemas
+#: and every in-repo reader changed in one step, and no reader used
+#: the fields.
 STATS_SCHEMA_VERSION = 3
 
 #: Values the ``role`` stats field may take: a standalone/fleet backend
@@ -359,7 +364,6 @@ STATS_SCHEMA: Dict[str, tuple] = {
     "speculation.warm_hits": (int,),
     "predictor?": (dict,),
     "memcache": (dict,),
-    "memcache.policy": (str,),
     "memcache.entries": (int,),
     "memcache.hits": (int,),
     "memcache.misses": (int,),
@@ -368,7 +372,6 @@ STATS_SCHEMA: Dict[str, tuple] = {
     "memcache.spec_hits": (int,),
     "memcache.spec_evictions": (int,),
     "memcache.spec_entries": (int,),
-    "memcache.prefixes": (dict,),
     "disk_cache?": (dict,),
     "latency_s": (dict,),
     "tiers": (dict,),
@@ -382,8 +385,8 @@ STATS_SCHEMA: Dict[str, tuple] = {
 #: ``role`` is ``"router"``).  ``backends`` is a list of per-backend
 #: health dicts, each validated against
 #: :data:`BACKEND_HEALTH_SCHEMA`; ``retry`` carries the router's
-#: failover retry counters and ``hedge`` the client-visible hedge
-#: counters (:meth:`repro.serve.retry.RetryStats.as_dict` shapes both).
+#: failover retry counters (shaped by
+#: :meth:`repro.serve.retry.RetryStats.as_dict`).
 ROUTER_STATS_SCHEMA: Dict[str, tuple] = {
     "stats_schema": (int,),
     "protocol": (int,),
@@ -406,8 +409,6 @@ ROUTER_STATS_SCHEMA: Dict[str, tuple] = {
     "retry.retries": (int,),
     "retry.gave_up": (int,),
     "retry.succeeded": (int,),
-    "retry.hedges_launched": (int,),
-    "retry.hedge_wins": (int,),
     "backends": (list,),
 }
 

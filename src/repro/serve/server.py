@@ -128,7 +128,6 @@ class ServeConfig:
     default_deadline_s: Optional[float] = None
     memcache_entries: int = DEFAULT_MAX_ENTRIES
     memcache_bytes: int = DEFAULT_MAX_BYTES
-    evict_policy: str = "lru"
     predict: bool = True
     predict_min_run: int = DEFAULT_MIN_RUN
     predict_depth: int = DEFAULT_DEPTH
@@ -165,7 +164,6 @@ class SimulationServer:
         self.memcache = ServeMemCache(
             max_entries=self.config.memcache_entries,
             max_bytes=self.config.memcache_bytes,
-            policy=self.config.evict_policy,
         )
         self.tiers = TierHitSeries(window_s=self.config.tier_window_s)
         self.scheduler = RequestScheduler(

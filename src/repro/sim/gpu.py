@@ -182,8 +182,7 @@ class GPU:
         interval = getattr(monitor, "interval", 0)
         obs = self.obs
         if obs is not None and obs.profiler is not None:
-            self._run_loop_profiled(limit, monitor, interval,
-                                    obs.window_interval)
+            self._run_profiled(obs.profiler, limit, monitor, interval)
         else:
             self._run_loop(limit, monitor, interval)
         completed = self.done
@@ -253,43 +252,49 @@ class GPU:
                 hook_at = _next_hook(now, limit, interval, obs_interval,
                                      wd_interval)
 
-    def _run_loop_profiled(self, limit: int, monitor, interval: int,
-                           obs_interval: int) -> None:
-        """Main loop variant with per-phase wall timing (``obs.profile``).
+    def _run_profiled(self, prof, limit: int, monitor,
+                      interval: int) -> None:
+        """Run :meth:`_run_loop` with per-phase wall timing
+        (``obs.profile``).
 
-        Kept separate from the default loop so the common un-profiled
-        path carries no timing calls at all."""
-        obs = self.obs
-        prof = obs.profiler
-        wd = self.watchdog
-        deep = self.config.deep_checks
+        The memory subsystem's ``cycle``, the obs ``flush`` and the deep
+        ``check_cycle`` of this GPU are wrapped in timing closures for
+        the loop's duration only, so the loop that runs is the engine's
+        own and the un-profiled path carries no timing calls.  The rest
+        of the loop time (SM issue and spans, monitor, watchdog) is
+        credited to ``sm_cycle``."""
         perf = time.perf_counter
+        hooks = ((self.subsystem, "cycle", "mem_cycle"),
+                 (self.obs, "flush", "obs_flush"),
+                 (self.invariants, "check_cycle", "deep_checks"))
+        hooked = [0.0]
+
+        def timed(fn, phase):
+            def wrapper(*args):
+                t0 = perf()
+                try:
+                    return fn(*args)
+                finally:
+                    dt = perf() - t0
+                    hooked[0] += dt
+                    prof.add(phase, dt)
+            return wrapper
+
+        for obj, name, phase in hooks:
+            setattr(obj, name, timed(getattr(obj, name), phase))
         cycles0 = self.now
-        while not self.done and self.now < limit:
-            t0 = perf()
-            for sm in self.sms:
-                sm.cycle(self.now)
-            t1 = perf()
-            self.subsystem.cycle(self.now)
-            t2 = perf()
-            prof.add("sm_cycle", t1 - t0)
-            prof.add("mem_cycle", t2 - t1)
-            self.now += 1
-            if interval and self.now % interval == 0:
-                monitor.sample(self, self.now)
-            if obs_interval and self.now % obs_interval == 0:
-                t3 = perf()
-                obs.flush(self, self.now)
-                prof.add("obs_flush", perf() - t3)
-            if deep:
-                t4 = perf()
-                self.invariants.check_cycle(self, self.now)
-                prof.add("deep_checks", perf() - t4)
-            if wd is not None and self.now % wd.check_interval == 0:
-                wd.check(self, self.now)
+        t0 = perf()
+        try:
+            self._run_loop(limit, monitor, interval)
+        finally:
+            loop_s = perf() - t0
+            for obj, name, _ in hooks:
+                delattr(obj, name)      # back to the class's method
+        cycles = self.now - cycles0
+        prof.add("sm_cycle", loop_s - hooked[0], calls=cycles)
         # Record the simulated-cycle count so profile consumers can
         # derive host-seconds-per-cycle without the SimResult in hand.
-        prof.add("cycles", 0.0, calls=self.now - cycles0)
+        prof.add("cycles", 0.0, calls=cycles)
 
     def _flush_memory(self, limit: int) -> None:
         """Drain in-flight stores/prefetches after the last warp retires

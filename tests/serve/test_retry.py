@@ -1,4 +1,4 @@
-"""Retry policy and hedging: classification, backoff, accounting."""
+"""Retry policy: classification, backoff, accounting."""
 
 import asyncio
 
@@ -12,10 +12,8 @@ from repro.errors import (
 )
 from repro.serve.retry import (
     NO_RETRY,
-    HedgePolicy,
     RetryPolicy,
     RetryStats,
-    hedged,
     retryable,
 )
 
@@ -153,62 +151,3 @@ class TestCall:
         policy = RetryPolicy(attempts=3, base_delay_s=0.0)
         assert asyncio.run(policy.acall(flaky)) == 42
         assert len(calls) == 2
-
-
-class TestHedging:
-    def test_primary_fast_enough_no_hedge_launched(self):
-        async def scenario():
-            stats = RetryStats()
-
-            async def fast():
-                return "primary"
-
-            value = await hedged([fast, fast], hedge_delay_s=5.0,
-                                 stats=stats)
-            assert value == "primary"
-            assert stats.hedges_launched == 0
-        asyncio.run(scenario())
-
-    def test_slow_primary_loses_to_hedge(self):
-        async def scenario():
-            stats = RetryStats()
-
-            async def slow():
-                await asyncio.sleep(30)
-                return "slow"
-
-            async def quick():
-                return "hedge"
-
-            value = await hedged([slow, quick], hedge_delay_s=0.01,
-                                 stats=stats)
-            assert value == "hedge"
-            assert stats.hedges_launched == 1
-            assert stats.hedge_wins == 1
-        asyncio.run(scenario())
-
-    def test_all_attempts_failing_raises_last(self):
-        async def scenario():
-            async def failing():
-                raise ConnectionResetError("down")
-
-            with pytest.raises(ConnectionResetError):
-                await hedged([failing, failing], hedge_delay_s=0.0)
-        asyncio.run(scenario())
-
-    def test_hedge_policy_validation(self):
-        with pytest.raises(ValueError):
-            HedgePolicy(delay_s=-1)
-        with pytest.raises(ValueError):
-            HedgePolicy(max_hedges=0)
-
-    def test_hedge_policy_runs_factory_copies(self):
-        async def scenario():
-            policy = HedgePolicy(delay_s=0.005, max_hedges=1)
-
-            async def attempt():
-                return "value"
-
-            assert await policy.run(attempt) == "value"
-            assert policy.stats.succeeded == 1
-        asyncio.run(scenario())

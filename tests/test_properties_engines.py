@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import SchedulerKind
 from repro.config import test_config as tiny_config
-from repro.prefetch.factory import make_prefetcher
+from repro.prefetch.factory import default_scheduler_for, make_prefetcher
 from repro.sim.isa import (
     ComputeOp,
     LoadOp,
@@ -147,13 +147,16 @@ class TestGeneratedKernelsIdentical:
         )
         assert res.completed
 
-    @given(kernels(), st.integers(64, 512))
+    @given(kernels(), st.integers(64, 512),
+           st.sampled_from(("none", "inter", "mta", "caps")))
     @settings(max_examples=8, deadline=None)
-    def test_random_kernel_truncated_run(self, kernel, cutoff):
-        """Even a mid-flight cutoff leaves both engines in the same state."""
-        cfg = tiny_config()
-        run_differential(lambda: _rebuild(kernel), cfg,
-                         max_cycles=cutoff, label=f"prop-cut@{cutoff}")
+    def test_random_kernel_truncated_run(self, kernel, cutoff, pf):
+        """Even a mid-flight cutoff, prefetches in flight included, leaves
+        both engines in the same state and passes every end-of-run
+        invariant (``GPU.run`` raises on a violation)."""
+        cfg = tiny_config(scheduler=default_scheduler_for(pf))
+        run_differential(lambda: _rebuild(kernel), cfg, make_prefetcher(pf),
+                         max_cycles=cutoff, label=f"prop-cut@{cutoff}/{pf}")
 
 
 class TestGeneratedCorunsIdentical:
